@@ -96,7 +96,7 @@ fn snapshot_root() -> Option<PathBuf> {
 }
 
 /// Like [`generate`], but backed by the snapshot cache: a prior save of
-/// the same key is opened (column data pages in lazily) instead of
+/// the same key is opened (every column decoded up front) instead of
 /// re-running the generator; a miss generates, publishes the snapshot
 /// atomically, and returns the fresh database. Cache failures are never
 /// fatal — worst case this degrades to plain generation.

@@ -27,7 +27,7 @@
 //! 4. **File-size budget** — the non-test region of a source file may
 //!    not exceed 600 lines unless the file carries an allowlisted
 //!    ceiling. Outgrowing the ceiling means the module wants splitting
-//!    (the storage subsystem's codec/format/paged split is the model),
+//!    (the storage subsystem's codec/format/spill split is the model),
 //!    not a bigger number. Test modules never count against the budget,
 //!    so adding tests is always free.
 //!
@@ -65,7 +65,7 @@ const FORBID_ATTR: &str = "#![forbid(unsafe_code)]";
 /// Per-file panic budgets for pre-existing library code, counted with
 /// exactly the logic in [`count_panics`]. A file not listed here has a
 /// budget of zero. Keep this list sorted by path.
-const PANIC_BUDGET: [(&str, usize); 22] = [
+const PANIC_BUDGET: [(&str, usize); 21] = [
     ("crates/bench/src/lib.rs", 3),
     ("crates/compat/criterion/src/lib.rs", 5),
     ("crates/compat/proptest/src/lib.rs", 1),
@@ -80,8 +80,7 @@ const PANIC_BUDGET: [(&str, usize); 22] = [
     ("crates/relational/src/database.rs", 2),
     ("crates/relational/src/intern.rs", 13),
     ("crates/relational/src/storage/codec.rs", 1),
-    ("crates/relational/src/storage/paged.rs", 2),
-    ("crates/relational/src/table.rs", 5),
+    ("crates/relational/src/table.rs", 2),
     ("crates/study/src/participant.rs", 1),
     ("crates/study/src/runner.rs", 1),
     ("crates/study/src/scripts.rs", 11),

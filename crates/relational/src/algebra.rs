@@ -153,83 +153,6 @@ impl Relation {
         Relation::new(self.columns.clone(), rows)
     }
 
-    /// Equi-join on `self[left_col] = other[right_col]` using a
-    /// row-at-a-time hash join over materialized rows.
-    ///
-    /// The optimizing executor no longer goes through this path — its joins
-    /// run on selection vectors ([`crate::colrel::ColRelation::hash_join`])
-    /// and never copy intermediate rows. This implementation stays as the
-    /// independent row-oriented reference the join edge-case tests compare
-    /// the columnar kernels against. Output columns are
-    /// `self.columns ++ other.columns`.
-    pub fn hash_join(
-        &self,
-        other: &Relation,
-        left_col: usize,
-        right_col: usize,
-    ) -> Result<Relation> {
-        if left_col >= self.columns.len() || right_col >= other.columns.len() {
-            return Err(Error::Eval("join column out of range".into()));
-        }
-        // Build on the smaller side.
-        let (build, probe, build_col, probe_col, build_is_left) = if self.len() <= other.len() {
-            (self, other, left_col, right_col, true)
-        } else {
-            (other, self, right_col, left_col, false)
-        };
-        // `Value` is `Copy` and text hashes by interned symbol id, so the
-        // build index keys on word-sized copies (a text join key is a `u32`
-        // symbol, not a heap string).
-        let mut index: HashMap<Value, Vec<usize>> = HashMap::new();
-        for (i, r) in build.rows.iter().enumerate() {
-            if !r[build_col].is_null() {
-                index.entry(r[build_col]).or_default().push(i);
-            }
-        }
-        let mut columns = self.columns.clone();
-        columns.extend(other.columns.iter().cloned());
-        let mut rows = Vec::new();
-        for pr in &probe.rows {
-            let key = pr[probe_col];
-            if key.is_null() {
-                continue;
-            }
-            if let Some(hits) = index.get(&key) {
-                for &bi in hits {
-                    let br = &build.rows[bi];
-                    let mut out = Vec::with_capacity(self.columns.len() + other.columns.len());
-                    if build_is_left {
-                        out.extend_from_slice(br);
-                        out.extend_from_slice(pr);
-                    } else {
-                        out.extend_from_slice(pr);
-                        out.extend_from_slice(br);
-                    }
-                    rows.push(out);
-                }
-            }
-        }
-        Ok(Relation::new(columns, rows))
-    }
-
-    /// Nested-loop join with an arbitrary predicate over the concatenated row.
-    pub fn nl_join(&self, other: &Relation, pred: &Expr) -> Result<Relation> {
-        let mut columns = self.columns.clone();
-        columns.extend(other.columns.iter().cloned());
-        let mut rows = Vec::new();
-        for l in &self.rows {
-            for r in &other.rows {
-                let mut combined = Vec::with_capacity(l.len() + r.len());
-                combined.extend_from_slice(l);
-                combined.extend_from_slice(r);
-                if pred.matches(&combined)? {
-                    rows.push(combined);
-                }
-            }
-        }
-        Ok(Relation::new(columns, rows))
-    }
-
     /// Cartesian product.
     pub fn cross(&self, other: &Relation) -> Relation {
         let mut columns = self.columns.clone();
@@ -901,29 +824,6 @@ mod tests {
         let out = r.project(&[1, 0]).unwrap();
         assert_eq!(out.columns[0].name, "b");
         assert_eq!(out.rows[0], vec![Value::Int(2), Value::Int(1)]);
-    }
-
-    #[test]
-    fn hash_join_matches_nested_loop() {
-        let left = rel(&["id"], (0..20).map(|i| vec![Value::Int(i % 5)]).collect());
-        let right = rel(&["fk"], (0..10).map(|i| vec![Value::Int(i % 3)]).collect());
-        let h = left.hash_join(&right, 0, 0).unwrap();
-        let n = left
-            .nl_join(&right, &Expr::col(0).eq(Expr::col(1)))
-            .unwrap();
-        let mut hr = h.rows.clone();
-        let mut nr = n.rows.clone();
-        hr.sort();
-        nr.sort();
-        assert_eq!(hr, nr);
-    }
-
-    #[test]
-    fn hash_join_skips_nulls() {
-        let left = rel(&["id"], vec![vec![Value::Null], vec![1.into()]]);
-        let right = rel(&["fk"], vec![vec![Value::Null], vec![1.into()]]);
-        let out = left.hash_join(&right, 0, 0).unwrap();
-        assert_eq!(out.len(), 1);
     }
 
     #[test]

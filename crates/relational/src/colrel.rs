@@ -784,12 +784,39 @@ mod tests {
         let cl = ColRelation::from_table(&l, "l");
         let cr = ColRelation::from_table(&r, "r");
         let col = cl.hash_join(&cr, 0, 0).unwrap();
+        // The naive oracle's kernels: cross product, then `l = r`, under
+        // which NULL never matches.
         let reference = Relation::from_table(&l, "l")
-            .hash_join(&Relation::from_table(&r, "r"), 0, 0)
+            .cross(&Relation::from_table(&r, "r"))
+            .select(&Expr::col(0).eq(Expr::col(1)))
             .unwrap();
         // 2x2 duplicate multiplicity + 1x1; NULLs never match: 5 rows.
         assert_eq!(col.len(), 5);
         assert_eq!(sorted_rows(&materialize(&col)), sorted_rows(&reference));
+    }
+
+    #[test]
+    fn hash_join_matches_nested_loop() {
+        let l = ints("l", &(0..20).map(|i| Some(i % 5)).collect::<Vec<_>>());
+        let r = ints("r", &(0..10).map(|i| Some(i % 3)).collect::<Vec<_>>());
+        let joined = ColRelation::from_table(&l, "l")
+            .hash_join(&ColRelation::from_table(&r, "r"), 0, 0)
+            .unwrap();
+        let nested = Relation::from_table(&l, "l")
+            .cross(&Relation::from_table(&r, "r"))
+            .select(&Expr::col(0).eq(Expr::col(1)))
+            .unwrap();
+        assert_eq!(sorted_rows(&materialize(&joined)), sorted_rows(&nested));
+    }
+
+    #[test]
+    fn hash_join_skips_nulls() {
+        let l = ints("l", &[None, Some(1)]);
+        let r = ints("r", &[None, Some(1)]);
+        let out = ColRelation::from_table(&l, "l")
+            .hash_join(&ColRelation::from_table(&r, "r"), 0, 0)
+            .unwrap();
+        assert_eq!(out.len(), 1);
     }
 
     #[test]

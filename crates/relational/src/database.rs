@@ -1,6 +1,6 @@
 //! The database: a catalog of tables plus cross-table integrity checks.
 
-use crate::schema::TableSchema;
+use crate::schema::{ForeignKey, TableSchema};
 use crate::table::{Row, Table};
 use crate::value::Value;
 use crate::{Error, Result};
@@ -36,8 +36,9 @@ impl Database {
     }
 
     /// Opens a database saved by [`Database::save`]. Every file checksum
-    /// is verified now (corruption surfaces here as [`Error::Storage`]);
-    /// column data pages in lazily on first touch.
+    /// is verified and every column decoded now, so corruption surfaces
+    /// here as [`Error::Storage`] and the opened database is entirely in
+    /// memory.
     pub fn open(dir: &std::path::Path) -> Result<Self> {
         crate::storage::open_database(dir)
     }
@@ -134,7 +135,7 @@ impl Database {
                         fk.referenced_table
                     )));
                 }
-            } else if target.get_by_pk(&referencing).is_none() {
+            } else if target.pk_row_index(&referencing).is_none() {
                 return Err(Error::Constraint(format!(
                     "FK violation: `{table}` -> `{}` key {referencing:?} not found",
                     fk.referenced_table
@@ -166,50 +167,57 @@ impl Database {
     /// Verifies all foreign keys in the whole database.
     pub fn check_integrity(&self) -> Result<()> {
         for table in self.tables.values() {
-            let schema = table.schema();
-            for fk in &schema.foreign_keys {
-                let src_idx: Vec<usize> = fk
-                    .columns
-                    .iter()
-                    .map(|c| schema.column_index(c).expect("validated schema"))
-                    .collect();
-                let target = self.table(&fk.referenced_table)?;
-                let uses_pk = target.schema().primary_key == fk.referenced_columns;
-                let tgt_idx: Vec<usize> = fk
-                    .referenced_columns
-                    .iter()
-                    .map(|c| {
-                        target.schema().column_index(c).ok_or_else(|| {
-                            Error::Schema(format!(
-                                "FK referenced column `{c}` missing in `{}`",
-                                fk.referenced_table
-                            ))
-                        })
-                    })
-                    .collect::<Result<_>>()?;
-                let src_cols: Vec<_> = src_idx.iter().map(|&i| table.column(i)).collect();
-                for row in 0..table.len() {
-                    let key: Vec<Value> = src_cols.iter().map(|c| c.get(row)).collect();
-                    if key.iter().any(Value::is_null) {
-                        continue;
-                    }
-                    let ok = if uses_pk {
-                        target.pk_row_index(&key).is_some()
-                    } else {
-                        (0..target.len()).any(|r| {
-                            tgt_idx
-                                .iter()
-                                .zip(&key)
-                                .all(|(&i, v)| target.value(r, i).sql_eq(v) == Some(true))
-                        })
-                    };
-                    if !ok {
-                        return Err(Error::Constraint(format!(
-                            "integrity: `{}` -> `{}` dangling key {key:?}",
-                            schema.name, fk.referenced_table
-                        )));
-                    }
-                }
+            for fk in &table.schema().foreign_keys {
+                self.check_fk(table, fk)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Verifies one foreign key `fk` declared on `table`: every non-NULL
+    /// referencing key must exist in the referenced table.
+    fn check_fk(&self, table: &Table, fk: &ForeignKey) -> Result<()> {
+        let schema = table.schema();
+        let src_idx: Vec<usize> = fk
+            .columns
+            .iter()
+            .map(|c| schema.column_index(c).expect("validated schema"))
+            .collect();
+        let target = self.table(&fk.referenced_table)?;
+        let uses_pk = target.schema().primary_key == fk.referenced_columns;
+        let tgt_idx: Vec<usize> = fk
+            .referenced_columns
+            .iter()
+            .map(|c| {
+                target.schema().column_index(c).ok_or_else(|| {
+                    Error::Schema(format!(
+                        "FK referenced column `{c}` missing in `{}`",
+                        fk.referenced_table
+                    ))
+                })
+            })
+            .collect::<Result<_>>()?;
+        let src_cols: Vec<_> = src_idx.iter().map(|&i| table.column(i)).collect();
+        for row in 0..table.len() {
+            let key: Vec<Value> = src_cols.iter().map(|c| c.get(row)).collect();
+            if key.iter().any(Value::is_null) {
+                continue;
+            }
+            let ok = if uses_pk {
+                target.pk_row_index(&key).is_some()
+            } else {
+                (0..target.len()).any(|r| {
+                    tgt_idx
+                        .iter()
+                        .zip(&key)
+                        .all(|(&i, v)| target.value(r, i).sql_eq(v) == Some(true))
+                })
+            };
+            if !ok {
+                return Err(Error::Constraint(format!(
+                    "integrity: `{}` -> `{}` dangling key {key:?}",
+                    schema.name, fk.referenced_table
+                )));
             }
         }
         Ok(())
@@ -268,8 +276,10 @@ impl Database {
     }
 
     /// Updates rows of `table` matching `pred`; `sets` pairs column names
-    /// with new values. The whole-database integrity check runs afterwards
-    /// and the update is rolled back if it fails.
+    /// with new values. Afterwards every FK the SET columns can break is
+    /// re-checked — the table's own FKs over a SET column, and FKs of any
+    /// table that reference a SET column — and the update is rolled back
+    /// if one fails.
     pub fn update_where(
         &mut self,
         table: &str,
@@ -288,12 +298,32 @@ impl Database {
             .collect::<Result<_>>()?;
         let backup = self.table(table)?.clone();
         let changed = self.table_mut(table)?.update_where(pred, &resolved)?;
-        if changed > 0 {
-            // Updates may break FKs in either direction; verify globally.
-            if let Err(e) = self.check_integrity() {
-                *self.table_mut(table)? = backup;
-                return Err(e);
-            }
+        let is_set = |cols: &[String]| {
+            cols.iter().any(|c| {
+                schema
+                    .column_index(c)
+                    .is_some_and(|i| resolved.iter().any(|(s, _)| *s == i))
+            })
+        };
+        let breakable = |owner: &Table, fk: &ForeignKey| {
+            (owner.schema().name == table && is_set(&fk.columns))
+                || (fk.referenced_table == table && is_set(&fk.referenced_columns))
+        };
+        let checked = if changed == 0 {
+            Ok(())
+        } else {
+            self.tables.values().try_for_each(|owner| {
+                owner
+                    .schema()
+                    .foreign_keys
+                    .iter()
+                    .filter(|fk| breakable(owner, fk))
+                    .try_for_each(|fk| self.check_fk(owner, fk))
+            })
+        };
+        if let Err(e) = checked {
+            *self.table_mut(table)? = backup;
+            return Err(e);
         }
         Ok(changed)
     }
@@ -343,6 +373,28 @@ mod tests {
             .unwrap();
         let err = db.insert("Papers", vec![11.into(), 99.into(), "Q".into()]);
         assert!(err.is_err());
+    }
+
+    #[test]
+    fn update_rechecks_only_the_fks_its_set_columns_can_break() {
+        use crate::expr::Expr;
+        let mut db = two_table_db();
+        db.insert("Conferences", vec![1.into(), "KDD".into()])
+            .unwrap();
+        // A dangling row the update below cannot have caused.
+        db.insert_unchecked("Papers", vec![10.into(), 7.into(), "P".into()])
+            .unwrap();
+        let all = Expr::lit(true);
+        let rename = [("acronym".to_string(), Value::from("SIGKDD"))];
+        assert_eq!(db.update_where("Conferences", &all, &rename).unwrap(), 1);
+        let retitle = [("title".to_string(), Value::from("Q"))];
+        assert_eq!(db.update_where("Papers", &all, &retitle).unwrap(), 1);
+        // SET on a referencing or referenced column re-checks the FK.
+        let repoint = [("conference_id".to_string(), Value::Int(8))];
+        assert!(db.update_where("Papers", &all, &repoint).is_err());
+        let renumber = [("id".to_string(), Value::Int(2))];
+        assert!(db.update_where("Conferences", &all, &renumber).is_err());
+        assert_eq!(db.table("Conferences").unwrap().value(0, 0), 1.into());
     }
 
     #[test]

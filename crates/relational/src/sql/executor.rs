@@ -146,7 +146,7 @@ pub fn execute_query(db: &Database, q: &Query) -> Result<Relation> {
 /// grouped shape, output row) followed by the trace of the greedy
 /// optimizer's decisions: pushed-down filters with their selectivity, the
 /// join order with intermediate sizes, residual predicates, and the
-/// tail. Backing for the SQL `EXPLAIN` statement.
+/// tail. The SQL `EXPLAIN` statement renders through it.
 pub fn explain_query(db: &Database, q: &Query) -> Result<Vec<String>> {
     let plan = analyze(db, q)?;
     let mut lines = plan.render();

@@ -9,11 +9,6 @@
 
 use crate::{Error, Result};
 
-/// Fixed chunk size for streaming file reads (checksum verification and
-/// paged column loads). 64 KiB keeps peak transient memory independent of
-/// segment size without paying a syscall per value.
-pub const CHUNK: usize = 64 * 1024;
-
 /// CRC-32 (IEEE 802.3, the zlib/PNG polynomial), table-driven and
 /// incremental so large segments can be checksummed in streamed chunks.
 /// Eight tables implement "slicing-by-8": the update loop folds eight

@@ -22,7 +22,7 @@
 //! what the file actually holds before any allocation sized by it, and
 //! every failure is a typed [`Error::Storage`] naming the path and segment.
 
-use super::codec::{Crc32, PayloadReader, PayloadWriter, CHUNK};
+use super::codec::{crc32, PayloadReader, PayloadWriter};
 use crate::intern::Sym;
 use crate::schema::{Column, ForeignKey, TableSchema};
 use crate::table::{ColumnData, NullBitmap, Table};
@@ -30,7 +30,7 @@ use crate::value::DataType;
 use crate::{Error, Result};
 use std::collections::HashMap;
 use std::fs::File;
-use std::io::{Read, Seek, SeekFrom};
+use std::io::Read;
 use std::path::Path;
 
 /// Magic bytes opening every table file.
@@ -82,39 +82,16 @@ pub fn manifest_segment_name(_index: usize) -> String {
     "manifest segment".to_string()
 }
 
-/// Location and checksum of one segment's payload inside its file.
-#[derive(Debug, Clone, Copy)]
-pub struct SegmentRef {
-    /// Byte offset of the payload (past the length prefix).
-    pub offset: u64,
-    /// Payload length in bytes.
-    pub len: u64,
-    /// CRC-32 of the payload, as stored in the file.
-    pub crc: u32,
-}
-
-/// Result of [`scan_file`]: every segment's location, plus the decoded
-/// payload bytes of the first `keep_payloads` segments.
-#[derive(Debug)]
-pub struct ScannedFile {
-    /// All segments, in file order.
-    pub segments: Vec<SegmentRef>,
-    /// Payload bytes of segments `0..keep_payloads`.
-    pub payloads: Vec<Vec<u8>>,
-}
-
-/// Opens `path`, validates magic and version, then walks every segment
-/// verifying its CRC in fixed-size chunk reads — without decoding — so all
+/// Opens `path`, validates magic and version, then reads every segment,
+/// verifying its CRC, and returns the payloads in file order. All
 /// corruption classes (truncation anywhere, bad magic, wrong version, bit
-/// flips in any segment) surface here as typed errors, never later as a
-/// panic. Payloads of the first `keep_payloads` segments are returned;
-/// `name_of` maps a segment index to its semantic name for errors.
+/// flips in any segment) surface here as typed errors; `name_of` maps a
+/// segment index to its semantic name for errors.
 pub fn scan_file(
     path: &Path,
     magic: [u8; 4],
-    keep_payloads: usize,
     name_of: fn(usize) -> String,
-) -> Result<ScannedFile> {
+) -> Result<Vec<Vec<u8>>> {
     let ctx = path.display();
     let mut f = File::open(path).map_err(|e| Error::Storage(format!("{ctx}: cannot open: {e}")))?;
     let file_len = f
@@ -140,11 +117,10 @@ pub fn scan_file(
             "{ctx}: unsupported format version {version} (this build reads {FORMAT_VERSION})"
         )));
     }
-    let mut segments = Vec::new();
     let mut payloads = Vec::new();
     let mut offset = 8u64;
     while offset < file_len {
-        let name = name_of(segments.len());
+        let name = name_of(payloads.len());
         if file_len - offset < 8 {
             return Err(Error::Storage(format!(
                 "{ctx}: {name}: truncated length prefix at offset {offset}"
@@ -163,76 +139,31 @@ pub fn scan_file(
                 file_len - offset
             )));
         }
-        let keep = payloads.len() < keep_payloads;
         // `len` was just bounds-checked against the real file size, so this
-        // capacity cannot be driven past the file length by corruption.
-        let mut kept: Vec<u8> = Vec::with_capacity(if keep { len as usize } else { 0 });
-        let mut crc = Crc32::new();
-        let mut left = len;
-        let mut chunk = vec![0u8; CHUNK.min(len as usize).max(1)];
-        while left > 0 {
-            let n = CHUNK.min(left as usize);
-            f.read_exact(&mut chunk[..n])
-                .map_err(|e| Error::Storage(format!("{ctx}: {name}: read failed: {e}")))?;
-            crc.update(&chunk[..n]);
-            if keep {
-                kept.extend_from_slice(&chunk[..n]);
-            }
-            left -= n as u64;
-        }
+        // allocation cannot be driven past the file length by corruption.
+        let mut payload = vec![0u8; len as usize];
         let mut crcbuf = [0u8; 4];
-        f.read_exact(&mut crcbuf)
+        f.read_exact(&mut payload)
+            .and_then(|()| f.read_exact(&mut crcbuf))
             .map_err(|e| Error::Storage(format!("{ctx}: {name}: read failed: {e}")))?;
         let stored = u32::from_le_bytes(crcbuf);
-        let computed = crc.finish();
+        let computed = crc32(&payload);
         if stored != computed {
             return Err(Error::Storage(format!(
                 "{ctx}: {name}: checksum mismatch (stored {stored:08x}, computed {computed:08x})"
             )));
         }
-        segments.push(SegmentRef {
-            offset,
-            len,
-            crc: stored,
-        });
-        if keep {
-            payloads.push(kept);
-        }
+        payloads.push(payload);
         offset += len + 4;
     }
-    Ok(ScannedFile { segments, payloads })
-}
-
-/// Re-reads and re-verifies one segment's payload (the paged column load
-/// path; a mismatch here means the file changed after a successful open).
-pub fn read_segment_payload(f: &mut File, seg: &SegmentRef, ctx: &str) -> Result<Vec<u8>> {
-    f.seek(SeekFrom::Start(seg.offset))
-        .map_err(|e| Error::Storage(format!("{ctx}: seek failed: {e}")))?;
-    let mut payload = Vec::with_capacity(seg.len as usize);
-    let mut left = seg.len;
-    let mut chunk = vec![0u8; CHUNK.min(seg.len as usize).max(1)];
-    while left > 0 {
-        let n = CHUNK.min(left as usize);
-        f.read_exact(&mut chunk[..n])
-            .map_err(|e| Error::Storage(format!("{ctx}: read failed: {e}")))?;
-        payload.extend_from_slice(&chunk[..n]);
-        left -= n as u64;
-    }
-    let computed = super::codec::crc32(&payload);
-    if computed != seg.crc {
-        return Err(Error::Storage(format!(
-            "{ctx}: checksum mismatch on lazy load (stored {:08x}, computed {computed:08x})",
-            seg.crc
-        )));
-    }
-    Ok(payload)
+    Ok(payloads)
 }
 
 /// Appends one `payload_len | payload | crc` segment to a file image.
 pub fn append_segment(out: &mut Vec<u8>, payload: &[u8]) {
     out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
     out.extend_from_slice(payload);
-    out.extend_from_slice(&super::codec::crc32(payload).to_le_bytes());
+    out.extend_from_slice(&crc32(payload).to_le_bytes());
 }
 
 /// The null bitmap as exactly `ceil(rows / 64)` words, zero-extended and
@@ -251,45 +182,6 @@ fn packed_words(nulls: &NullBitmap, rows: usize) -> Vec<u64> {
     words
 }
 
-/// The row indices of `table` in ascending primary-key order, or an empty
-/// vec when rows are already ascending (the common case for generated
-/// corpora) or the table has no PK. Stored in the schema segment so `open`
-/// can prove PK uniqueness with one O(rows) comparison pass instead of
-/// building a hash index on the cold-start path.
-fn pk_order(table: &Table) -> Vec<u32> {
-    let pk_cols = table.schema().primary_key_indices().unwrap_or_default();
-    if pk_cols.is_empty() || table.is_empty() {
-        return Vec::new();
-    }
-    let rows = table.len();
-    let key = |i: usize| -> Vec<crate::value::Value> {
-        pk_cols.iter().map(|&c| table.column(c).get(i)).collect()
-    };
-    let ascending = (1..rows).all(|i| {
-        key(i - 1)
-            .iter()
-            .zip(key(i).iter())
-            .map(|(a, b)| a.total_cmp(b))
-            .find(|o| *o != std::cmp::Ordering::Equal)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            == std::cmp::Ordering::Less
-    });
-    if ascending {
-        return Vec::new();
-    }
-    let keys: Vec<Vec<crate::value::Value>> = (0..rows).map(key).collect();
-    let mut perm: Vec<u32> = (0..rows as u32).collect();
-    perm.sort_unstable_by(|&a, &b| {
-        keys[a as usize]
-            .iter()
-            .zip(keys[b as usize].iter())
-            .map(|(x, y)| x.total_cmp(y))
-            .find(|o| *o != std::cmp::Ordering::Equal)
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    perm
-}
-
 /// Encodes a whole table into its file image: header, then schema, arena
 /// and column segments. Deterministic for a given table: NULL positions
 /// are written as canonical placeholders, the arena holds each distinct
@@ -306,8 +198,7 @@ pub fn encode_table(table: &Table) -> Vec<u8> {
     let mut arena: Vec<&'static str> = Vec::new();
     let mut column_payloads: Vec<Vec<u8>> = Vec::with_capacity(schema.arity());
     for (ci, col) in schema.columns.iter().enumerate() {
-        let store = table.column(ci);
-        let (data, nulls) = store.raw_parts();
+        let (data, nulls) = (table.column(ci).data(), table.column(ci).nulls());
         let mut w = PayloadWriter::new();
         w.u8(type_code(col.data_type));
         w.u64(rows as u64);
@@ -374,9 +265,9 @@ pub fn encode_table(table: &Table) -> Vec<u8> {
             sw.str(c);
         }
     }
-    let order = pk_order(table);
+    let order = table.stored_pk_order();
     sw.u32(order.len() as u32);
-    for i in &order {
+    for i in order {
         sw.u32(*i);
     }
 
@@ -400,7 +291,7 @@ pub fn encode_table(table: &Table) -> Vec<u8> {
 /// Decodes the schema segment into a [`TableSchema`], the row count, and
 /// the stored PK order (empty = rows already ascending, or no PK). Entries
 /// are bounds-checked here; strict-ascending verification — which needs
-/// the column data — happens in [`crate::storage`]'s open path.
+/// the column data — happens in [`Table`]'s constructor at open.
 pub fn decode_schema(payload: &[u8], ctx: &str) -> Result<(TableSchema, usize, Vec<u32>)> {
     let mut r = PayloadReader::new(payload, ctx);
     let name = r.str("table name")?;
@@ -661,6 +552,13 @@ mod tests {
         assert_eq!(decode_manifest(payload, "m").unwrap(), entries);
     }
 
+    /// Encodes `table` and decodes its schema segment back.
+    fn stored_schema(table: &Table) -> (TableSchema, usize, Vec<u32>) {
+        let bytes = encode_table(table);
+        let len = u64::from_le_bytes(bytes[8..16].try_into().unwrap()) as usize;
+        decode_schema(&bytes[16..16 + len], "t").unwrap()
+    }
+
     #[test]
     fn schema_payload_round_trips() {
         let schema = TableSchema::new(
@@ -673,10 +571,7 @@ mod tests {
         .with_primary_key(&["id"])
         .with_foreign_key(ForeignKey::single("id", "Other", "id"));
         let table = Table::new(schema.clone()).unwrap();
-        let bytes = encode_table(&table);
-        let len = u64::from_le_bytes(bytes[8..16].try_into().unwrap()) as usize;
-        let payload = &bytes[16..16 + len];
-        let (decoded, rows, order) = decode_schema(payload, "t").unwrap();
+        let (decoded, rows, order) = stored_schema(&table);
         assert_eq!(decoded, schema);
         assert_eq!(rows, 0);
         assert!(order.is_empty());
@@ -696,11 +591,11 @@ mod tests {
         for (a, b) in [(1, 1), (1, 2), (2, 0)] {
             sorted.insert(vec![a.into(), b.into()]).unwrap();
         }
-        assert!(pk_order(&sorted).is_empty());
+        assert!(stored_schema(&sorted).2.is_empty());
         let mut shuffled = Table::new(schema).unwrap();
         for (a, b) in [(2, 0), (1, 2), (1, 1)] {
             shuffled.insert(vec![a.into(), b.into()]).unwrap();
         }
-        assert_eq!(pk_order(&shuffled), vec![2, 1, 0]);
+        assert_eq!(stored_schema(&shuffled).2, vec![2, 1, 0]);
     }
 }

@@ -7,14 +7,13 @@
 //! the catalog's deterministic order). Every file is magic + version +
 //! checksummed, length-prefixed segments ([`format`]).
 //!
-//! `open` verifies **every** segment checksum up front (streamed in fixed
-//! 64 KiB chunks, nothing decoded), then decodes only the schema and
-//! string-arena segments eagerly; column segments come back as `Paged`
-//! [`crate::table::ColumnStore`]s that load on first touch ([`paged`]).
-//! The up-front sweep is what lets the lazy path stay infallible-looking
-//! to the executor: any truncation, magic/version mismatch or bit flip
-//! surfaces at `open` as a typed [`crate::Error::Storage`] naming the
-//! offending path and segment — never a panic.
+//! `open` reads and checksums every segment, then decodes all of them —
+//! schema, string arena and every column — before it returns: an opened
+//! database is entirely in memory, and nothing touches the files again.
+//! Any truncation, magic/version mismatch, bit flip, or checksum-valid
+//! segment whose contents do not decode surfaces at `open` as a typed
+//! [`crate::Error::Storage`] naming the offending path and segment —
+//! never a panic, and never later on a read.
 //!
 //! Symbols rehydrate deterministically: each table file carries its own
 //! string arena (distinct strings in first-use order), re-interned in
@@ -23,7 +22,6 @@
 
 pub mod codec;
 pub mod format;
-pub mod paged;
 pub mod spill;
 
 pub use format::{FORMAT_VERSION, MANIFEST_FILE};
@@ -33,14 +31,12 @@ use crate::intern::intern_all;
 use crate::table::{ColumnStore, Table};
 use crate::{Error, Result};
 use format::{
-    decode_arena, decode_manifest, decode_schema, encode_manifest, encode_table,
+    decode_arena, decode_column, decode_manifest, decode_schema, encode_manifest, encode_table,
     manifest_segment_name, scan_file, table_segment_name, MAGIC_MANIFEST, MAGIC_TABLE,
 };
-use paged::ColumnPart;
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::Path;
-use std::sync::Arc;
 
 /// Saves every table of `db` under `dir` (created if missing): one
 /// `t<index>.etb` per table in catalog order plus the manifest. Existing
@@ -63,21 +59,20 @@ pub fn save_database(db: &Database, dir: &Path) -> Result<()> {
     Ok(())
 }
 
-/// Opens a database saved by [`save_database`]. All file checksums are
-/// verified now; column data is paged in lazily on first touch (only the
-/// primary-key columns load eagerly, to rebuild the PK indexes).
+/// Opens a database saved by [`save_database`], verifying every checksum
+/// and decoding every column now.
 pub fn open_database(dir: &Path) -> Result<Database> {
     let mpath = dir.join(MANIFEST_FILE);
-    let scanned = scan_file(&mpath, MAGIC_MANIFEST, 1, manifest_segment_name)?;
-    if scanned.segments.len() != 1 {
+    let payloads = scan_file(&mpath, MAGIC_MANIFEST, manifest_segment_name)?;
+    if payloads.len() != 1 {
         return Err(Error::Storage(format!(
             "{}: expected exactly one segment, found {}",
             mpath.display(),
-            scanned.segments.len()
+            payloads.len()
         )));
     }
     let mctx = format!("{}: manifest segment", mpath.display());
-    let entries = decode_manifest(&scanned.payloads[0], &mctx)?;
+    let entries = decode_manifest(&payloads[0], &mctx)?;
     let mut tables = BTreeMap::new();
     for (name, file) in entries {
         let tpath = dir.join(&file);
@@ -97,119 +92,39 @@ pub fn open_database(dir: &Path) -> Result<Database> {
 }
 
 fn open_table(path: &Path) -> Result<Table> {
-    let scanned = scan_file(path, MAGIC_TABLE, 2, table_segment_name)?;
+    let payloads = scan_file(path, MAGIC_TABLE, table_segment_name)?;
     let seg_ctx = |i: usize| format!("{}: {}", path.display(), table_segment_name(i));
-    if scanned.segments.len() < 2 {
+    if payloads.len() < 2 {
         return Err(Error::Storage(format!(
             "{}: only {} segment(s); a table file needs schema + arena + columns",
             path.display(),
-            scanned.segments.len()
+            payloads.len()
         )));
     }
-    let (schema, rows, pk_order) = decode_schema(&scanned.payloads[0], &seg_ctx(0))?;
-    if scanned.segments.len() != 2 + schema.arity() {
+    let (schema, rows, pk_order) = decode_schema(&payloads[0], &seg_ctx(0))?;
+    if payloads.len() != 2 + schema.arity() {
         return Err(Error::Storage(format!(
             "{}: {} segment(s) for {} schema column(s) (expected {})",
             path.display(),
-            scanned.segments.len(),
+            payloads.len(),
             schema.arity(),
             2 + schema.arity()
         )));
     }
-    let arena_strings = decode_arena(&scanned.payloads[1], &seg_ctx(1))?;
-    let syms = Arc::new(intern_all(&arena_strings));
-    let shared_path = Arc::new(path.to_path_buf());
-    let cols: Vec<ColumnStore> = schema
+    let syms = intern_all(&decode_arena(&payloads[1], &seg_ctx(1))?);
+    let cols = schema
         .columns
         .iter()
+        .zip(payloads.into_iter().skip(2))
         .enumerate()
-        .map(|(ci, col)| {
+        .map(|(ci, (col, payload))| {
             let ctx = format!("{} (`{}.{}`)", seg_ctx(2 + ci), schema.name, col.name);
-            let part = ColumnPart::new(
-                Arc::clone(&shared_path),
-                scanned.segments[2 + ci],
-                ctx,
-                col.data_type,
-                rows,
-                Arc::clone(&syms),
-            );
-            ColumnStore::paged(Arc::new(part), rows)
+            let (data, nulls) = decode_column(&payload, &ctx, col.data_type, rows, &syms)?;
+            Ok(ColumnStore::from_parts(data, nulls, rows))
         })
-        .collect();
-    verify_pk_order(path, &schema, &cols, rows, &pk_order)?;
+        .collect::<Result<Vec<_>>>()?;
+    // The table's constructor checks the schema and proves the stored PK
+    // order strictly ascending (which is the uniqueness proof).
     Table::from_parts(schema, cols, rows, pk_order)
-}
-
-/// Proves the stored PK order before the table is allowed to trust it:
-/// the key sequence read through the permutation (identity when empty)
-/// must be **strictly** ascending. Strictness is the uniqueness proof —
-/// a duplicate key or a repeated permutation entry both surface as a
-/// non-ascending adjacent pair. Touches only the PK columns, so non-key
-/// columns stay lazy; comparisons run over the typed column bodies
-/// directly (same order as [`crate::value::Value::total_cmp`] on non-NULL
-/// same-type cells, NULLs first) to keep open-time cost one linear sweep.
-/// Entry bounds were checked by `decode_schema`.
-fn verify_pk_order(
-    path: &Path,
-    schema: &crate::schema::TableSchema,
-    cols: &[ColumnStore],
-    rows: usize,
-    pk_order: &[u32],
-) -> Result<()> {
-    use crate::intern::Sym;
-    use crate::table::ColumnData;
-    use std::cmp::Ordering;
-    let pk_cols = schema.primary_key_indices().map_err(|e| {
-        Error::Storage(format!(
-            "{}: schema segment: invalid schema: {e}",
-            path.display()
-        ))
-    })?;
-    if pk_cols.is_empty() {
-        if !pk_order.is_empty() {
-            return Err(Error::Storage(format!(
-                "{}: schema segment: pk order present but the table has no primary key",
-                path.display()
-            )));
-        }
-        return Ok(());
-    }
-    let parts: Vec<_> = pk_cols.iter().map(|&c| cols[c].raw_parts()).collect();
-    let cmp_rows = |a: usize, b: usize| -> Ordering {
-        for &(data, nulls) in &parts {
-            let o = match (nulls.get(a), nulls.get(b)) {
-                (true, true) => Ordering::Equal,
-                (true, false) => Ordering::Less,
-                (false, true) => Ordering::Greater,
-                (false, false) => match data {
-                    ColumnData::Int(v) => v[a].cmp(&v[b]),
-                    ColumnData::Float(v) => v[a].total_cmp(&v[b]),
-                    ColumnData::Sym(v) => Sym::cmp_str(v[a], v[b]),
-                    ColumnData::Bool(v) => v[a].cmp(&v[b]),
-                },
-            };
-            if o != Ordering::Equal {
-                return o;
-            }
-        }
-        Ordering::Equal
-    };
-    let row_at = |i: usize| {
-        if pk_order.is_empty() {
-            i
-        } else {
-            pk_order[i] as usize
-        }
-    };
-    for i in 1..rows {
-        if cmp_rows(row_at(i - 1), row_at(i)) != Ordering::Less {
-            return Err(Error::Storage(format!(
-                "{}: schema segment: pk order is not strictly ascending at position {i} \
-                 (table `{}`: duplicate or misordered primary key)",
-                path.display(),
-                schema.name
-            )));
-        }
-    }
-    Ok(())
+        .map_err(|e| Error::Storage(format!("{}: {}", seg_ctx(0), e.message())))
 }

@@ -1,5 +1,5 @@
-//! Columnar storage for a single table, with a primary-key hash index and
-//! optional secondary indexes.
+//! Columnar storage for a single table, with a primary-key index kept as
+//! the row permutation in ascending key order.
 //!
 //! Rows are stored as typed per-column vectors ([`ColumnData`]) plus a null
 //! bitmap per column — text cells hold interned [`Sym`]bols, so a column of
@@ -19,11 +19,10 @@
 
 use crate::intern::Sym;
 use crate::schema::TableSchema;
-use crate::storage::paged::ColumnPart;
 use crate::value::{DataType, Value};
 use crate::{Error, Result};
-use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
+use std::cmp::Ordering;
+use std::sync::Arc;
 
 /// A tuple of values, positionally matching the table's columns.
 ///
@@ -98,31 +97,12 @@ pub enum ColumnData {
     Bool(Arc<Vec<bool>>),
 }
 
-/// The physical residence of one column: today's Arc-backed vectors, or a
-/// lazily-loaded handle into an on-disk table file ([`crate::storage`]).
-///
-/// `Paged` columns materialize on first touch — a checksummed chunked read
-/// of the column's segment — and cache the result in an `Arc<OnceLock>`, so
-/// every clone of the [`ColumnStore`] (scan handles, worker-pool closures)
-/// shares the one materialization. Mutation always converts to `Resident`
-/// first: the disk file is a snapshot, never a live write target.
-#[derive(Debug, Clone)]
-enum Backing {
-    /// Fully in memory (the only state a mutated column can be in).
-    Resident { data: ColumnData, nulls: NullBitmap },
-    /// On disk, loaded on first touch and cached.
-    Paged {
-        part: Arc<ColumnPart>,
-        cell: Arc<OnceLock<(ColumnData, NullBitmap)>>,
-    },
-}
-
 /// One column of a table: typed data plus its null bitmap. `Clone` is
-/// O(1): both the data buffer and the null bitmap are `Arc`-shared (and a
-/// paged column's lazy-load cache is shared across clones too).
+/// O(1): both the data buffer and the null bitmap are `Arc`-shared.
 #[derive(Debug, Clone)]
 pub struct ColumnStore {
-    backing: Backing,
+    data: ColumnData,
+    nulls: NullBitmap,
     len: usize,
 }
 
@@ -135,58 +115,13 @@ impl ColumnStore {
             DataType::Text => ColumnData::Sym(Arc::default()),
             DataType::Bool => ColumnData::Bool(Arc::default()),
         };
-        ColumnStore {
-            backing: Backing::Resident {
-                data,
-                nulls: NullBitmap::default(),
-            },
-            len: 0,
-        }
+        Self::from_parts(data, NullBitmap::default(), 0)
     }
 
-    /// A paged column: `part` describes the on-disk segment; nothing is
-    /// read until the first touch.
-    pub(crate) fn paged(part: Arc<ColumnPart>, len: usize) -> Self {
-        ColumnStore {
-            backing: Backing::Paged {
-                part,
-                cell: Arc::new(OnceLock::new()),
-            },
-            len,
-        }
-    }
-
-    /// The typed body and null bitmap, materializing a paged column on
-    /// first touch.
-    fn parts(&self) -> (&ColumnData, &NullBitmap) {
-        match &self.backing {
-            Backing::Resident { data, nulls } => (data, nulls),
-            Backing::Paged { part, cell } => {
-                let (data, nulls) = cell.get_or_init(|| part.load_or_die());
-                (data, nulls)
-            }
-        }
-    }
-
-    /// Converts a paged column to resident (an `Arc` handoff of the cached
-    /// materialization, not a copy) so mutation never writes at the disk
-    /// snapshot.
-    fn ensure_resident(&mut self) {
-        if let Backing::Paged { .. } = self.backing {
-            let (data, nulls) = {
-                let (d, n) = self.parts();
-                (d.clone(), n.clone())
-            };
-            self.backing = Backing::Resident { data, nulls };
-        }
-    }
-
-    fn parts_mut(&mut self) -> (&mut ColumnData, &mut NullBitmap) {
-        self.ensure_resident();
-        match &mut self.backing {
-            Backing::Resident { data, nulls } => (data, nulls),
-            Backing::Paged { .. } => unreachable!("ensure_resident converted the backing"),
-        }
+    /// A column around an already-decoded body and bitmap of `len` rows
+    /// (the on-disk reader's path).
+    pub(crate) fn from_parts(data: ColumnData, nulls: NullBitmap, len: usize) -> Self {
+        ColumnStore { data, nulls, len }
     }
 
     /// Number of rows.
@@ -199,32 +134,20 @@ impl ColumnStore {
         self.len == 0
     }
 
-    /// True when the column's data is in memory — trivially for resident
-    /// columns, or after the first touch of a paged one. Lets tests pin
-    /// the laziness contract (`open` must not read column segments).
-    pub fn is_materialized(&self) -> bool {
-        match &self.backing {
-            Backing::Resident { .. } => true,
-            Backing::Paged { cell, .. } => cell.get().is_some(),
-        }
-    }
-
     /// Whether the cell at `i` is NULL.
     pub fn is_null(&self, i: usize) -> bool {
-        self.parts().1.get(i)
+        self.nulls.get(i)
     }
 
     /// The typed column body (column-at-a-time access). Check
-    /// [`ColumnStore::is_null`] before trusting a position. Materializes a
-    /// paged column on first touch.
+    /// [`ColumnStore::is_null`] before trusting a position.
     pub fn data(&self) -> &ColumnData {
-        self.parts().0
+        &self.data
     }
 
-    /// The null bitmap alongside the body (single materialization for
-    /// consumers that need both — the on-disk writer).
-    pub(crate) fn raw_parts(&self) -> (&ColumnData, &NullBitmap) {
-        self.parts()
+    /// The null bitmap (the on-disk writer reads it next to the body).
+    pub(crate) fn nulls(&self) -> &NullBitmap {
+        &self.nulls
     }
 
     /// Materializes the cell at `i` as a [`Value`].
@@ -237,11 +160,10 @@ impl ColumnStore {
             "column row {i} out of range (len {})",
             self.len
         );
-        let (data, nulls) = self.parts();
-        if nulls.get(i) {
+        if self.nulls.get(i) {
             return Value::Null;
         }
-        match data {
+        match &self.data {
             ColumnData::Int(v) => Value::Int(v[i]),
             ColumnData::Float(v) => Value::Float(v[i]),
             ColumnData::Sym(v) => Value::Text(v[i]),
@@ -258,10 +180,9 @@ impl ColumnStore {
     fn push(&mut self, v: &Value) {
         let i = self.len;
         self.len += 1;
-        let (data, nulls) = self.parts_mut();
         if v.is_null() {
-            nulls.set(i, true);
-            match data {
+            self.nulls.set(i, true);
+            match &mut self.data {
                 ColumnData::Int(d) => Arc::make_mut(d).push(0),
                 ColumnData::Float(d) => Arc::make_mut(d).push(0.0),
                 ColumnData::Sym(d) => Arc::make_mut(d).push(Sym::intern("")),
@@ -269,7 +190,7 @@ impl ColumnStore {
             }
             return;
         }
-        match (data, v) {
+        match (&mut self.data, v) {
             (ColumnData::Int(d), Value::Int(x)) => Arc::make_mut(d).push(*x),
             (ColumnData::Float(d), Value::Float(x)) => Arc::make_mut(d).push(*x),
             // Int widened into a FLOAT column (Value::Int(2) == Float(2.0),
@@ -283,13 +204,11 @@ impl ColumnStore {
 
     /// Overwrites the cell at `i`. The caller has already validated `fits`.
     fn set(&mut self, i: usize, v: &Value) {
-        let (data, nulls) = self.parts_mut();
+        self.nulls.set(i, v.is_null());
         if v.is_null() {
-            nulls.set(i, true);
             return;
         }
-        nulls.set(i, false);
-        match (data, v) {
+        match (&mut self.data, v) {
             (ColumnData::Int(d), Value::Int(x)) => Arc::make_mut(d)[i] = *x,
             (ColumnData::Float(d), Value::Float(x)) => Arc::make_mut(d)[i] = *x,
             (ColumnData::Float(d), Value::Int(x)) => Arc::make_mut(d)[i] = *x as f64,
@@ -312,8 +231,7 @@ impl ColumnStore {
             }
             d.truncate(w);
         }
-        let (data, nulls) = self.parts_mut();
-        match data {
+        match &mut self.data {
             ColumnData::Int(d) => retain(Arc::make_mut(d), keep),
             ColumnData::Float(d) => retain(Arc::make_mut(d), keep),
             ColumnData::Sym(d) => retain(Arc::make_mut(d), keep),
@@ -323,30 +241,13 @@ impl ColumnStore {
         let mut w = 0usize;
         for (r, &k) in keep.iter().enumerate() {
             if k {
-                packed.set(w, nulls.get(r));
+                packed.set(w, self.nulls.get(r));
                 w += 1;
             }
         }
-        *nulls = packed;
+        self.nulls = packed;
         self.len = w;
     }
-}
-
-/// How primary-key lookups are answered.
-///
-/// Resident tables maintain a hash map incrementally. Tables opened from
-/// a disk snapshot start in `Ordered` form instead: the snapshot stores
-/// (and `open` verifies) a permutation of row indices in ascending PK
-/// order, so uniqueness is already proven and lookups binary-search the
-/// columns directly — no per-row hashing on the cold-start path. The
-/// first mutation converts to `Hash` once.
-#[derive(Debug, Clone)]
-enum PkIndex {
-    /// PK value(s) -> row index.
-    Hash(HashMap<Vec<Value>, usize>),
-    /// Row indices in ascending PK order; an empty vec means the rows are
-    /// already ascending (identity permutation).
-    Ordered(Vec<u32>),
 }
 
 /// In-memory columnar storage for one table.
@@ -357,41 +258,30 @@ pub struct Table {
     len: usize,
     /// Positions of the PK columns (cached from the schema).
     pk_cols: Vec<usize>,
-    /// PK lookup structure. Only maintained when the schema has a PK.
-    pk_index: PkIndex,
-    /// column position -> (value -> row indices), built on demand.
-    secondary: HashMap<usize, HashMap<Value, Vec<usize>>>,
+    /// The PK index: row indices in ascending primary-key order (empty
+    /// when the schema has no PK). Lookups binary-search it; `Arc`-shared
+    /// like the columns, so cloning a table copies no index.
+    pk_order: Arc<Vec<u32>>,
 }
 
 impl Table {
     /// Creates an empty table after validating the schema.
     pub fn new(schema: TableSchema) -> Result<Self> {
-        schema.validate()?;
-        let pk_cols = schema.primary_key_indices()?;
         let cols = schema
             .columns
             .iter()
             .map(|c| ColumnStore::new(c.data_type))
             .collect();
-        Ok(Table {
-            schema,
-            cols,
-            len: 0,
-            pk_cols,
-            pk_index: PkIndex::Hash(HashMap::new()),
-            secondary: HashMap::new(),
-        })
+        Self::from_parts(schema, cols, 0, Vec::new())
     }
 
     /// Rebuilds a table around already-constructed column stores (the
-    /// on-disk reader's path). Validates the schema; PK lookups are
-    /// answered through `pk_order` — a permutation of row indices in
-    /// ascending PK order that the **caller must already have verified**
-    /// (strictly ascending through the permutation, every index in
-    /// bounds; strictness is what proves uniqueness). `open` does that
-    /// verification with full path context, touching only the PK columns,
-    /// so non-key paged columns stay unmaterialized until a query first
-    /// reads them — and no hash index is built until the first mutation.
+    /// on-disk reader's path). Validates the schema and `pk_order`, the
+    /// row indices in ascending PK order (empty = rows already ascending,
+    /// or no PK): the keys read through it must be **strictly** ascending,
+    /// which is also the uniqueness proof — a duplicate key or a repeated
+    /// entry both surface as a non-ascending pair. Entry bounds are the
+    /// caller's to check.
     pub(crate) fn from_parts(
         schema: TableSchema,
         cols: Vec<ColumnStore>,
@@ -400,19 +290,31 @@ impl Table {
     ) -> Result<Self> {
         schema.validate()?;
         let pk_cols = schema.primary_key_indices()?;
-        let pk_index = if pk_cols.is_empty() {
-            PkIndex::Hash(HashMap::new())
+        if pk_cols.is_empty() && !pk_order.is_empty() {
+            return Err(Error::Storage(
+                "pk order present but the table has no primary key".into(),
+            ));
+        }
+        let pk_order = if pk_order.is_empty() && !pk_cols.is_empty() {
+            (0..len as u32).collect()
         } else {
-            PkIndex::Ordered(pk_order)
+            pk_order
         };
-        Ok(Table {
+        let table = Table {
             schema,
             cols,
             len,
             pk_cols,
-            pk_index,
-            secondary: HashMap::new(),
-        })
+            pk_order: Arc::new(pk_order),
+        };
+        if let Some(i) = table.first_unordered(&table.pk_order) {
+            return Err(Error::Storage(format!(
+                "pk order is not strictly ascending at position {i} \
+                 (table `{}`: duplicate or misordered primary key)",
+                table.schema.name
+            )));
+        }
+        Ok(table)
     }
 
     /// The table's schema.
@@ -474,13 +376,6 @@ impl Table {
         self.iter_rows().collect()
     }
 
-    fn pk_key(&self, row: &[Value]) -> Option<Vec<Value>> {
-        if self.pk_cols.is_empty() {
-            return None;
-        }
-        Some(self.pk_cols.iter().map(|&i| row[i]).collect())
-    }
-
     /// Validates a row against arity, type and nullability constraints,
     /// and enforces the [`MAX_ROWS`] row-id cap.
     fn validate_row(&self, row: &[Value]) -> Result<()> {
@@ -515,85 +410,55 @@ impl Table {
         Ok(())
     }
 
-    /// Compares the stored PK of `row` against `key`, column by column.
-    fn cmp_pk_row_key(&self, row: usize, key: &[Value]) -> std::cmp::Ordering {
-        for (&c, kv) in self.pk_cols.iter().zip(key) {
-            let ord = self.cols[c].get(row).total_cmp(kv);
-            if ord != std::cmp::Ordering::Equal {
-                return ord;
-            }
-        }
-        std::cmp::Ordering::Equal
+    /// The table's one key order: the PK of stored row `row` against
+    /// `key`, column by column under [`Value::total_cmp`].
+    fn cmp_pk_key(&self, row: usize, key: &[Value]) -> Ordering {
+        self.pk_cols
+            .iter()
+            .zip(key)
+            .map(|(&c, k)| self.cols[c].get(row).total_cmp(k))
+            .find(|o| o.is_ne())
+            .unwrap_or(Ordering::Equal)
     }
 
-    /// Row index holding `key`, through whichever PK representation the
-    /// table currently carries.
-    fn pk_lookup(&self, key: &[Value]) -> Option<usize> {
-        if key.len() != self.pk_cols.len() || self.pk_cols.is_empty() {
-            return None;
-        }
-        match &self.pk_index {
-            PkIndex::Hash(map) => map.get(key).copied(),
-            PkIndex::Ordered(perm) => {
-                let row_at = |i: usize| {
-                    if perm.is_empty() {
-                        i
-                    } else {
-                        perm[i] as usize
-                    }
-                };
-                let (mut lo, mut hi) = (0usize, self.len);
-                while lo < hi {
-                    let mid = lo + (hi - lo) / 2;
-                    let row = row_at(mid);
-                    match self.cmp_pk_row_key(row, key) {
-                        std::cmp::Ordering::Less => lo = mid + 1,
-                        std::cmp::Ordering::Greater => hi = mid,
-                        std::cmp::Ordering::Equal => return Some(row),
-                    }
-                }
-                None
-            }
-        }
+    /// The same order between two stored rows.
+    fn cmp_pk_rows(&self, a: usize, b: usize) -> Ordering {
+        self.pk_cols
+            .iter()
+            .map(|&c| self.cols[c].get(a).total_cmp(&self.cols[c].get(b)))
+            .find(|o| o.is_ne())
+            .unwrap_or(Ordering::Equal)
     }
 
-    /// The PK hash map, converting an opened snapshot's verified sort
-    /// order into a map first (mutation needs a structure it can update
-    /// incrementally; uniqueness was proven at open, so the build cannot
-    /// collide).
-    fn pk_hash_mut(&mut self) -> &mut HashMap<Vec<Value>, usize> {
-        if matches!(self.pk_index, PkIndex::Ordered(_)) {
-            let mut map = HashMap::with_capacity(self.len);
-            for i in 0..self.len {
-                let key: Vec<Value> = self.pk_cols.iter().map(|&c| self.cols[c].get(i)).collect();
-                map.insert(key, i);
-            }
-            self.pk_index = PkIndex::Hash(map);
-        }
-        match &mut self.pk_index {
-            PkIndex::Hash(map) => map,
-            PkIndex::Ordered(_) => unreachable!("converted to Hash above"),
-        }
+    /// First position of `order` whose key does not sort strictly after
+    /// its predecessor's (a duplicate or misordered key), if any.
+    fn first_unordered(&self, order: &[u32]) -> Option<usize> {
+        (1..order.len())
+            .find(|&i| self.cmp_pk_rows(order[i - 1] as usize, order[i] as usize) != Ordering::Less)
     }
 
-    /// Registers a row's PK in the index (uniqueness + non-NULL checks).
-    fn index_pk(&mut self, row: &[Value], at: usize) -> Result<()> {
-        if let Some(key) = self.pk_key(row) {
-            if key.iter().any(Value::is_null) {
-                return Err(Error::Constraint(format!(
-                    "NULL primary key in table `{}`",
-                    self.schema.name
-                )));
-            }
-            if self.pk_lookup(&key).is_some() {
-                return Err(Error::Constraint(format!(
-                    "duplicate primary key {key:?} in table `{}`",
-                    self.schema.name
-                )));
-            }
-            self.pk_hash_mut().insert(key, at);
+    fn duplicate_pk(&self, key: &[Value]) -> Error {
+        Error::Constraint(format!(
+            "duplicate primary key {key:?} in table `{}`",
+            self.schema.name
+        ))
+    }
+
+    /// The slot in `pk_order` for a new row: the end when its key sorts
+    /// after the last key (generated and auto-increment loads), otherwise a
+    /// binary search. Errors on a duplicate key.
+    fn pk_slot(&self, row: &[Value]) -> Result<usize> {
+        let key: Vec<Value> = self.pk_cols.iter().map(|&c| row[c]).collect();
+        let slot = match self.pk_order.last() {
+            Some(&last) if self.cmp_pk_key(last as usize, &key).is_ge() => self
+                .pk_order
+                .partition_point(|&r| self.cmp_pk_key(r as usize, &key).is_lt()),
+            _ => self.pk_order.len(),
+        };
+        match self.pk_order.get(slot) {
+            Some(&r) if self.cmp_pk_key(r as usize, &key).is_eq() => Err(self.duplicate_pk(&key)),
+            _ => Ok(slot),
         }
-        Ok(())
     }
 
     /// Inserts a row, enforcing arity, type, nullability and PK uniqueness.
@@ -601,27 +466,21 @@ impl Table {
     /// Foreign-key checks happen at the [`crate::database::Database`] level
     /// because they need access to other tables.
     pub fn insert(&mut self, row: Row) -> Result<usize> {
-        self.validate_row(&row)?;
-        self.index_pk(&row, self.len)?;
-        // Secondary indexes are invalidated by mutation; drop them lazily.
-        self.secondary.clear();
-        for (c, v) in self.cols.iter_mut().zip(&row) {
-            c.push(v);
-        }
-        self.len += 1;
+        self.append_rows([row])?;
         Ok(self.len - 1)
     }
 
     /// Bulk columnar append: validates and indexes every row, then pushes
-    /// column-by-column. One secondary-index invalidation for the whole
-    /// batch; constraint semantics are identical to repeated
+    /// it column-by-column. Constraint semantics are identical to repeated
     /// [`Table::insert`] (rows before the failing row stay inserted).
     pub fn append_rows(&mut self, rows: impl IntoIterator<Item = Row>) -> Result<usize> {
-        self.secondary.clear();
         let mut n = 0usize;
         for row in rows {
             self.validate_row(&row)?;
-            self.index_pk(&row, self.len)?;
+            if !self.pk_cols.is_empty() {
+                let slot = self.pk_slot(&row)?;
+                Arc::make_mut(&mut self.pk_order).insert(slot, self.len as u32);
+            }
             for (c, v) in self.cols.iter_mut().zip(&row) {
                 c.push(v);
             }
@@ -633,47 +492,61 @@ impl Table {
 
     /// Looks up a row by its (possibly composite) primary-key value.
     pub fn get_by_pk(&self, key: &[Value]) -> Option<Row> {
-        self.pk_lookup(key).and_then(|i| self.row(i))
+        self.pk_row_index(key).and_then(|i| self.row(i))
     }
 
     /// Position of the row with the given primary key.
     pub fn pk_row_index(&self, key: &[Value]) -> Option<usize> {
-        self.pk_lookup(key)
-    }
-
-    /// Ensures a secondary hash index exists on the column at `col` and
-    /// returns the row positions whose value equals `key`.
-    pub fn lookup_indexed(&mut self, col: usize, key: &Value) -> &[usize] {
-        if !self.secondary.contains_key(&col) {
-            let mut map: HashMap<Value, Vec<usize>> = HashMap::new();
-            for (i, v) in self.cols[col].iter().enumerate() {
-                map.entry(v).or_default().push(i);
-            }
-            self.secondary.insert(col, map);
+        if key.len() != self.pk_cols.len() || self.pk_cols.is_empty() {
+            return None;
         }
-        self.secondary
-            .get(&col)
-            .and_then(|m| m.get(key))
-            .map(|v| v.as_slice())
-            .unwrap_or(&[])
+        let slot = self
+            .pk_order
+            .partition_point(|&r| self.cmp_pk_key(r as usize, key).is_lt());
+        let row = *self.pk_order.get(slot)? as usize;
+        self.cmp_pk_key(row, key).is_eq().then_some(row)
     }
 
-    /// Scans for rows whose column `col` equals `key` without an index.
-    pub fn scan_eq<'a>(&'a self, col: usize, key: &Value) -> impl Iterator<Item = Row> + 'a {
-        let key = *key;
-        (0..self.len).filter_map(move |i| {
-            if self.cols[col].get(i).sql_eq(&key) == Some(true) {
-                self.row(i)
-            } else {
-                None
-            }
-        })
+    /// Row indices in ascending PK order as the on-disk format stores
+    /// them: empty when that order is the identity (or there is no PK).
+    pub(crate) fn stored_pk_order(&self) -> &[u32] {
+        let identity = self
+            .pk_order
+            .iter()
+            .enumerate()
+            .all(|(i, &r)| r as usize == i);
+        if identity {
+            &[]
+        } else {
+            &self.pk_order
+        }
+    }
+
+    /// Re-sorts the PK index after rows moved or keys changed, rejecting
+    /// duplicate keys.
+    fn rebuild_pk_order(&mut self) -> Result<()> {
+        if self.pk_cols.is_empty() {
+            return Ok(());
+        }
+        let mut order: Vec<u32> = (0..self.len as u32).collect();
+        order.sort_unstable_by(|&a, &b| self.cmp_pk_rows(a as usize, b as usize));
+        if let Some(i) = self.first_unordered(&order) {
+            let row = order[i] as usize;
+            let key: Vec<Value> = self
+                .pk_cols
+                .iter()
+                .map(|&c| self.cols[c].get(row))
+                .collect();
+            return Err(self.duplicate_pk(&key));
+        }
+        self.pk_order = Arc::new(order);
+        Ok(())
     }
 
     /// Deletes all rows satisfying `pred`; returns how many were removed.
     ///
-    /// Indexes are rebuilt. Referential integrity is the caller's concern
-    /// ([`crate::database::Database::delete_where`] enforces it).
+    /// The PK index is rebuilt. Referential integrity is the caller's
+    /// concern ([`crate::database::Database::delete_where`] enforces it).
     pub fn delete_where(&mut self, pred: &crate::expr::Expr) -> Result<usize> {
         let mut keep = Vec::with_capacity(self.len);
         let mut buf = Row::new();
@@ -689,14 +562,15 @@ impl Table {
                 c.retain_mask(&keep);
             }
             self.len -= removed;
-            self.rebuild_indexes()?;
+            self.rebuild_pk_order()?;
         }
         Ok(removed)
     }
 
     /// Updates columns of all rows satisfying `pred` to the given values;
     /// returns how many rows changed. Type/nullability/PK-uniqueness
-    /// constraints are re-checked.
+    /// constraints are re-checked; the PK index is rebuilt only when a
+    /// SET column is part of the key.
     pub fn update_where(
         &mut self,
         pred: &crate::expr::Expr,
@@ -721,6 +595,7 @@ impl Table {
                 )));
             }
         }
+        let sets_pk = sets.iter().any(|(c, _)| self.pk_cols.contains(c));
         let mut changed = 0usize;
         let before = self.cols.clone();
         let mut buf = Row::new();
@@ -734,40 +609,20 @@ impl Table {
                     changed += 1;
                 }
             }
-            self.rebuild_indexes()
+            if sets_pk && changed > 0 {
+                self.rebuild_pk_order()?;
+            }
+            Ok(())
         })();
         if let Err(e) = applied {
             // Predicate evaluation error mid-scan or a PK collision
             // introduced by the update: roll back so a failed statement
-            // never commits partial writes.
+            // never commits partial writes. The PK index is only replaced
+            // on success, so it still matches the old columns.
             self.cols = before;
-            self.rebuild_indexes().expect("previous state was valid");
             return Err(e);
         }
         Ok(changed)
-    }
-
-    /// Rebuilds the PK index (checking uniqueness) and drops secondary
-    /// indexes.
-    fn rebuild_indexes(&mut self) -> Result<()> {
-        self.secondary.clear();
-        if self.pk_cols.is_empty() {
-            self.pk_index = PkIndex::Hash(HashMap::new());
-            return Ok(());
-        }
-        let mut map = HashMap::with_capacity(self.len);
-        for i in 0..self.len {
-            let key: Vec<Value> = self.pk_cols.iter().map(|&c| self.cols[c].get(i)).collect();
-            if map.insert(key, i).is_some() {
-                let key: Vec<Value> = self.pk_cols.iter().map(|&c| self.cols[c].get(i)).collect();
-                return Err(Error::Constraint(format!(
-                    "duplicate primary key {key:?} in table `{}`",
-                    self.schema.name
-                )));
-            }
-        }
-        self.pk_index = PkIndex::Hash(map);
-        Ok(())
     }
 
     /// Distinct values appearing in column `col` (used by the categorical
@@ -841,29 +696,58 @@ mod tests {
     }
 
     #[test]
-    fn secondary_index_matches_scan() {
+    fn out_of_order_inserts_keep_lookups_and_disk_order() {
         let mut t = make();
-        for i in 0..10 {
-            t.insert(vec![i.into(), Value::text(format!("n{}", i % 3))])
-                .unwrap();
+        for id in [5, 1, 9, 3, 7] {
+            t.insert(vec![id.into(), Value::Null]).unwrap();
         }
-        let via_index: Vec<usize> = t.lookup_indexed(1, &"n1".into()).to_vec();
-        let via_scan: Vec<usize> = t
-            .iter_rows()
-            .enumerate()
-            .filter(|(_, r)| r[1] == "n1".into())
-            .map(|(i, _)| i)
-            .collect();
-        assert_eq!(via_index, via_scan);
+        for (row, id) in [5, 1, 9, 3, 7].into_iter().enumerate() {
+            assert_eq!(t.pk_row_index(&[id.into()]), Some(row));
+        }
+        assert_eq!(t.pk_row_index(&[4.into()]), None);
+        assert_eq!(t.stored_pk_order(), &[1, 3, 0, 4, 2]);
+        assert!(t.insert(vec![3.into(), Value::Null]).is_err());
+        assert_eq!(t.len(), 5);
     }
 
     #[test]
-    fn index_invalidated_on_insert() {
+    fn pk_update_rebuilds_the_index_and_rolls_back_duplicates() {
+        use crate::expr::Expr;
         let mut t = make();
-        t.insert(vec![1.into(), "x".into()]).unwrap();
-        assert_eq!(t.lookup_indexed(1, &"x".into()).len(), 1);
-        t.insert(vec![2.into(), "x".into()]).unwrap();
-        assert_eq!(t.lookup_indexed(1, &"x".into()).len(), 2);
+        for id in 0..4 {
+            t.insert(vec![id.into(), "x".into()]).unwrap();
+        }
+        let pred = Expr::col(0).eq(Expr::lit(0));
+        assert_eq!(t.update_where(&pred, &[(0, Value::Int(10))]).unwrap(), 1);
+        assert_eq!(t.pk_row_index(&[10.into()]), Some(0));
+        assert_eq!(t.pk_row_index(&[0.into()]), None);
+        assert_eq!(t.stored_pk_order(), &[1, 2, 3, 0]);
+        let before = t.to_rows();
+        let pred = Expr::col(0).eq(Expr::lit(1));
+        assert!(t.update_where(&pred, &[(0, Value::Int(2))]).is_err());
+        assert_eq!(t.to_rows(), before);
+        assert_eq!(t.pk_row_index(&[1.into()]), Some(1));
+        t.delete_where(&Expr::col(0).eq(Expr::lit(2))).unwrap();
+        assert_eq!(t.pk_row_index(&[3.into()]), Some(2));
+        assert_eq!(t.pk_row_index(&[10.into()]), Some(0));
+        assert_eq!(t.stored_pk_order(), &[1, 2, 0]);
+    }
+
+    #[test]
+    fn from_parts_rejects_a_misordered_or_repeated_pk_order() {
+        let mut t = make();
+        for id in [3, 1, 2] {
+            t.insert(vec![id.into(), Value::Null]).unwrap();
+        }
+        let reopen = |order: Vec<u32>| {
+            Table::from_parts(t.schema.clone(), t.cols.clone(), t.len, order)
+                .map(|r| r.stored_pk_order().to_vec())
+        };
+        assert_eq!(reopen(vec![1, 2, 0]).unwrap(), vec![1, 2, 0]);
+        for bad in [vec![], vec![2, 1, 0], vec![1, 1, 0]] {
+            let err = reopen(bad).unwrap_err().to_string();
+            assert!(err.contains("not strictly ascending"), "{err}");
+        }
     }
 
     #[test]
@@ -947,6 +831,17 @@ mod tests {
     }
 
     #[test]
+    fn scan_eq_finds_matches() {
+        use crate::expr::Expr;
+        let mut t = make();
+        t.insert(vec![1.into(), "a".into()]).unwrap();
+        t.insert(vec![2.into(), "b".into()]).unwrap();
+        t.insert(vec![3.into(), "a".into()]).unwrap();
+        let hits = crate::scan::filter_indices(&t, &Expr::col(1).eq(Expr::lit("a"))).unwrap();
+        assert_eq!(hits, vec![0, 2]);
+    }
+
+    #[test]
     fn update_where_rolls_back_on_predicate_error() {
         use crate::expr::Expr;
         let mut t = Table::new(
@@ -975,17 +870,5 @@ mod tests {
             before,
             "failed update must not commit partial writes"
         );
-    }
-
-    #[test]
-    fn scan_eq_finds_matches() {
-        let mut t = make();
-        t.insert(vec![1.into(), "a".into()]).unwrap();
-        t.insert(vec![2.into(), "b".into()]).unwrap();
-        t.insert(vec![3.into(), "a".into()]).unwrap();
-        let hits: Vec<Row> = t.scan_eq(1, &"a".into()).collect();
-        assert_eq!(hits.len(), 2);
-        assert_eq!(hits[0][0], 1.into());
-        assert_eq!(hits[1][0], 3.into());
     }
 }

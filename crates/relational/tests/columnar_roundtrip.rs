@@ -3,6 +3,8 @@
 //! row facade, the cell accessor, and the bulk APIs — must reproduce the
 //! inserted `Value`s exactly, including NULLs and interned text.
 
+use etable_relational::expr::Expr;
+use etable_relational::scan::filter_indices;
 use etable_relational::schema::{Column, TableSchema};
 use etable_relational::table::{Row, Table};
 use etable_relational::value::{DataType, Value};
@@ -137,23 +139,23 @@ proptest! {
     }
 }
 
-/// The secondary index over an interned text column returns exactly the
-/// scan results.
+/// An equality scan over an interned text column (dictionary-compiled
+/// predicate) returns exactly the rows whose cell equals the key.
 #[test]
-fn text_secondary_index_matches_scan() {
+fn text_eq_scan_matches_shadow() {
     let rows = random_rows(7, 200);
     let mut table = Table::new(wide_schema()).unwrap();
     table.append_rows(rows.clone()).unwrap();
     for key in ["a", "ab", "abc", ""] {
         let key: Value = key.into();
-        let via_index: Vec<usize> = table.lookup_indexed(3, &key).to_vec();
-        let via_shadow: Vec<usize> = rows
+        let via_scan = filter_indices(&table, &Expr::col(3).eq(Expr::lit(key))).unwrap();
+        let via_shadow: Vec<u32> = rows
             .iter()
             .enumerate()
             .filter(|(_, r)| r[3] == key)
-            .map(|(i, _)| i)
+            .map(|(i, _)| i as u32)
             .collect();
-        assert_eq!(via_index, via_shadow, "key {key}");
+        assert_eq!(via_scan, via_shadow, "key {key}");
     }
 }
 

@@ -5,6 +5,7 @@
 
 use etable_relational::database::Database;
 use etable_relational::schema::{Column, TableSchema};
+use etable_relational::storage::codec::crc32;
 use etable_relational::storage::FORMAT_VERSION;
 use etable_relational::value::{DataType, Value};
 use etable_relational::Error;
@@ -244,5 +245,47 @@ fn corrupt_snapshots_never_return_wrong_data() {
     // Restoring the original bytes restores a clean open.
     fs::write(&path, &original).unwrap();
     assert!(Database::open(&dir).is_ok());
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// Rewrites the payload of segment `index` of the table file at `path`
+/// with `edit` and recomputes its CRC, so the file stays checksum-valid.
+fn rewrite_segment(path: &Path, index: usize, edit: impl FnOnce(&mut [u8])) {
+    let mut bytes = fs::read(path).unwrap();
+    let mut at = 8; // past magic + version
+    for _ in 0..index {
+        let len = u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
+        at += 8 + len + 4;
+    }
+    let len = u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
+    let payload = at + 8..at + 8 + len;
+    edit(&mut bytes[payload.clone()]);
+    let crc = crc32(&bytes[payload.clone()]);
+    bytes[payload.end..payload.end + 4].copy_from_slice(&crc.to_le_bytes());
+    fs::write(path, &bytes).unwrap();
+}
+
+#[test]
+fn checksum_valid_wrong_type_code_on_the_pk_column_is_a_typed_error() {
+    let dir = saved_db("pk-type");
+    // Segment 2 is column 0, `T.id` (INT); its payload opens with the type
+    // code. FLOAT has INT's cell width, so only the code disagrees.
+    rewrite_segment(&dir.join("t0.etb"), 2, |p| p[0] = 1);
+    assert_open_storage_err(&dir, &["t0.etb", "column segment 0", "disagrees"]);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn checksum_valid_arena_id_past_the_arena_is_a_typed_error() {
+    let dir = saved_db("arena-id");
+    // Segment 4 is column 2, `T.s` (TEXT): type u8, rows u64, word count
+    // u32, the null words, then one u32 arena id per row. Row 0 is
+    // non-NULL; point it far past the arena.
+    rewrite_segment(&dir.join("t0.etb"), 4, |p| {
+        let words = u32::from_le_bytes(p[9..13].try_into().unwrap()) as usize;
+        let cell = 13 + words * 8;
+        p[cell..cell + 4].copy_from_slice(&0x7fff_0000u32.to_le_bytes());
+    });
+    assert_open_storage_err(&dir, &["t0.etb", "column segment 2", "arena id"]);
     let _ = fs::remove_dir_all(&dir);
 }

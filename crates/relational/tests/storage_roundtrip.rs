@@ -1,10 +1,11 @@
 //! Round-trip property tests for the binary table format
 //! ([`etable_relational::storage`]): every column type, NULL bitmaps at
 //! morsel/word boundaries (0/1/2048/4097 rows), empty tables and empty
-//! databases, adversarial intern order, lazy paged loading, and
+//! databases, adversarial intern order, mutation after open, and
 //! save→open→save byte idempotence.
 
 use etable_relational::database::Database;
+use etable_relational::expr::Expr;
 use etable_relational::intern::Sym;
 use etable_relational::schema::{Column, ForeignKey, TableSchema};
 use etable_relational::table::Row;
@@ -263,7 +264,6 @@ fn adversarial_intern_order_rehydrates_deterministically() {
 fn save_open_save_is_byte_idempotent() {
     let mut db = random_db(7, 300);
     // Mutation history: delete a band of rows, then re-insert some.
-    use etable_relational::expr::Expr;
     db.table_mut("W")
         .unwrap()
         .delete_where(&Expr::col(0).lt(Expr::lit(40)))
@@ -289,32 +289,7 @@ fn save_open_save_is_byte_idempotent() {
     let _ = std::fs::remove_dir_all(&d2);
 }
 
-/// Paged columns stay on disk until first touch; the PK column (needed to
-/// rebuild the index at open) is the only eager load.
-#[test]
-fn open_is_lazy_per_column() {
-    let db = random_db(11, 100);
-    let dir = scratch_dir("lazy");
-    db.save(&dir).unwrap();
-    let back = Database::open(&dir).unwrap();
-    let t = back.table("W").unwrap();
-    assert!(
-        t.column(0).is_materialized(),
-        "PK column loads eagerly for the index rebuild"
-    );
-    for c in 1..t.schema().arity() {
-        assert!(!t.column(c).is_materialized(), "column {c} must stay lazy");
-    }
-    // First touch materializes exactly the touched column.
-    let _ = t.value(3, 2);
-    assert!(t.column(2).is_materialized());
-    assert!(!t.column(1).is_materialized());
-    assert!(!t.column(3).is_materialized());
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// A reopened database accepts mutation (paged columns convert to
-/// resident) and keeps constraint semantics.
+/// A reopened database accepts mutation and keeps constraint semantics.
 #[test]
 fn reopened_database_is_mutable() {
     let db = random_db(13, 50);
@@ -349,6 +324,55 @@ fn reopened_database_is_mutable() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Applies one seeded mutation sequence to table `W` of `random_db`'s
+/// shape — an out-of-order INSERT, a duplicate-PK INSERT, a DELETE, an
+/// UPDATE of the key and an UPDATE of a non-key column — and returns
+/// each statement's outcome (row count, or `None` on error).
+fn mutate(db: &mut Database, seed: u64) -> Vec<Option<usize>> {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+    let rows = db.table("W").unwrap().len() as i64;
+    let row = |id: i64| -> Row {
+        vec![
+            id.into(),
+            Value::Int(id * 2),
+            Value::Null,
+            Value::text(format!("m{id}")),
+            Value::Bool(true),
+        ]
+    };
+    // Ids of `random_db` are 0..rows ascending; a negative id sorts first.
+    let early = -1 - rng.gen_range(0..1000i64);
+    let dup = if rows > 0 {
+        rng.gen_range(0..rows)
+    } else {
+        early
+    };
+    let modulus = rng.gen_range(2..6i64);
+    let moved = rng.gen_range(0..rows.max(1));
+    let id = || Expr::col(0);
+    vec![
+        db.insert("W", row(early)).ok(),
+        db.insert("W", row(dup)).ok(),
+        db.delete_where(
+            "W",
+            &id().eq(Expr::lit(modulus)).or(id().lt(Expr::lit(-500))),
+        )
+        .ok(),
+        db.update_where(
+            "W",
+            &id().eq(Expr::lit(moved)),
+            &[("id".to_string(), Value::Int(-2000 - moved))],
+        )
+        .ok(),
+        db.update_where(
+            "W",
+            &id().gt(Expr::lit(rows / 2)),
+            &[("i".to_string(), Value::Int(7))],
+        )
+        .ok(),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -364,7 +388,27 @@ proptest! {
         assert_db_eq(&db, &back);
         back.save(&d2).unwrap();
         assert_dirs_byte_identical(&d1, &d2);
-        let _ = std::fs::remove_dir_all(&d1);
-        let _ = std::fs::remove_dir_all(&d2);
+
+        // The same mutations, applied to the original and the reopened
+        // database, leave them equal: same outcomes, rows, PK lookups and
+        // saved bytes.
+        let (mut db, mut back) = (db, back);
+        let outcomes = mutate(&mut db, seed);
+        prop_assert_eq!(&outcomes, &mutate(&mut back, seed));
+        prop_assert!(outcomes[0].is_some(), "out-of-order insert must succeed");
+        prop_assert!(outcomes[1].is_none(), "duplicate-PK insert must fail");
+        assert_db_eq(&db, &back);
+        let (ta, tb) = (db.table("W").unwrap(), back.table("W").unwrap());
+        for (i, r) in ta.iter_rows().enumerate() {
+            prop_assert_eq!(ta.pk_row_index(&[r[0]]), Some(i));
+            prop_assert_eq!(tb.pk_row_index(&[r[0]]), Some(i));
+        }
+        let (d3, d4) = (scratch_dir("prop3"), scratch_dir("prop4"));
+        db.save(&d3).unwrap();
+        back.save(&d4).unwrap();
+        assert_dirs_byte_identical(&d3, &d4);
+        for d in [d1, d2, d3, d4] {
+            let _ = std::fs::remove_dir_all(&d);
+        }
     }
 }
